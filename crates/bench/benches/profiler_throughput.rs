@@ -2,7 +2,7 @@
 //! pre-recorded trace (isolates analysis cost from guest interpretation).
 
 use aprof_core::{NaiveProfiler, RmsProfiler, TrmsProfiler};
-use aprof_trace::{NullTool, RecordingTool, Trace};
+use aprof_trace::{NullTool, RecordingTool, Tool, Trace};
 use aprof_workloads::{by_name, WorkloadParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -25,8 +25,13 @@ fn bench_replay(c: &mut Criterion) {
     group.throughput(Throughput::Elements(events));
     group.bench_function(BenchmarkId::new("tool", "nulgrind"), |b| {
         b.iter(|| {
+            // Deliver through `&mut dyn Tool`, as the VM does. With the
+            // concrete type in view the empty callbacks inline away and the
+            // replay loop is deleted; behind `black_box` each event costs
+            // one real dispatch.
             let mut t = NullTool::new();
-            trace.replay(&mut t);
+            let tool: &mut dyn Tool = std::hint::black_box(&mut t);
+            trace.replay(tool);
         })
     });
     group.bench_function(BenchmarkId::new("tool", "aprof-rms"), |b| {
@@ -41,21 +46,6 @@ fn bench_replay(c: &mut Criterion) {
             trace.replay(&mut t);
         })
     });
-    // Batched dispatch with the same-thread read-run fast paths.
-    for chunk in [64usize, 1024] {
-        group.bench_function(BenchmarkId::new("tool", format!("aprof-rms-batched-{chunk}")), |b| {
-            b.iter(|| {
-                let mut t = RmsProfiler::new();
-                trace.replay_batched(&mut t, chunk);
-            })
-        });
-        group.bench_function(BenchmarkId::new("tool", format!("aprof-trms-batched-{chunk}")), |b| {
-            b.iter(|| {
-                let mut t = TrmsProfiler::new();
-                trace.replay_batched(&mut t, chunk);
-            })
-        });
-    }
     group.bench_function(BenchmarkId::new("tool", "naive-oracle"), |b| {
         b.iter(|| {
             let mut t = NaiveProfiler::new();

@@ -1,7 +1,7 @@
 //! Bound-inference benchmark: the machinery behind `BENCH_bound.json`.
 //!
 //! The bound pass runs per-PR over every example and bundled workload in
-//! CI and inside the corpus fuzzer's fifth oracle, so its throughput
+//! CI and inside the corpus fuzzer's bound-vs-fit oracle, so its throughput
 //! matters: the acceptance floor is one million guest instructions
 //! analyzed per second. This report measures full inference (dominators,
 //! natural loops, trip classification, SCC recursion analysis, bottom-up

@@ -18,7 +18,7 @@
 //! `(rms, cost)` profile, classifying each routine `consistent`,
 //! `imprecise` (bound sound but loose), or `unsound` (the execution
 //! outgrew the bound — a hard failure surfaced as B305). The corpus
-//! fuzzer runs this differential as its fifth oracle.
+//! fuzzer runs this differential as its bound-vs-fit oracle.
 //!
 //! ```
 //! use aprof_bound::{infer_functions, Bound};

@@ -1,7 +1,7 @@
 //! The sequential rms profiler (`aprof-rms`, the PLDI 2012 tool).
 
 use crate::profile::{ActivationRecord, GlobalStats, ProfileReport, RoutineThreadProfile};
-use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, TimedEvent, Tool};
+use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, Tool};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy)]
@@ -29,9 +29,8 @@ impl RmsThread {
     }
 
     /// Procedure `read` of the sequential algorithm, operating purely on
-    /// thread state so both the per-event and the batched paths share it.
-    /// Fetches the cell's last-access timestamp and stamps it with the
-    /// current counter in one shadow-table traversal.
+    /// thread state. Fetches the cell's last-access timestamp and stamps
+    /// it with the current counter in one shadow-table traversal.
     fn apply_read(&mut self, addr: Addr) {
         let count = self.count;
         let lts = self.ts.get_set(addr, count);
@@ -114,9 +113,11 @@ impl RmsProfiler {
         self.threads.iter().map(|t| t.ts.stats().bytes as u64).sum()
     }
 
-    /// Consumes a fallible event stream (e.g. a wire-trace decoder)
-    /// batch-by-batch via [`crate::consume_stream`], so traces far larger
-    /// than memory profile in bounded space. Returns the events consumed.
+    /// Consumes a fallible event stream (e.g. a wire-trace decoder) one
+    /// event at a time via [`aprof_trace::replay_events`], so traces far
+    /// larger than memory profile in bounded space. The callbacks are the
+    /// ones an in-memory replay delivers, so the profile is byte-identical.
+    /// Returns the events consumed.
     ///
     /// # Errors
     ///
@@ -126,7 +127,7 @@ impl RmsProfiler {
     where
         I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
     {
-        crate::stream::consume_stream(self, events)
+        aprof_trace::replay_events(self, events)
     }
 
     /// Finalizes the session and assembles the report.
@@ -205,38 +206,6 @@ impl Tool for RmsProfiler {
     fn read(&mut self, thread: ThreadId, addr: Addr) {
         self.global.reads += 1;
         self.state(thread).apply_read(addr);
-    }
-
-    /// Batched dispatch with a same-thread read-run fast path: a run of
-    /// consecutive `Read` events by one thread resolves the thread state
-    /// once and bumps the global read counter once per run. Everything else
-    /// falls back to [`dispatch`](Tool::dispatch), so observable behaviour
-    /// is identical to sequential replay.
-    fn on_batch(&mut self, events: &[TimedEvent]) {
-        let mut i = 0;
-        while i < events.len() {
-            let te = &events[i];
-            if !matches!(te.event, Event::Read { .. }) {
-                self.dispatch(te.thread, te.event);
-                i += 1;
-                continue;
-            }
-            let thread = te.thread;
-            let mut j = i + 1;
-            while j < events.len()
-                && events[j].thread == thread
-                && matches!(events[j].event, Event::Read { .. })
-            {
-                j += 1;
-            }
-            self.global.reads += (j - i) as u64;
-            let st = self.state(thread);
-            for te in &events[i..j] {
-                let Event::Read { addr } = te.event else { unreachable!() };
-                st.apply_read(addr);
-            }
-            i = j;
-        }
     }
 
     fn write(&mut self, thread: ThreadId, addr: Addr) {
@@ -361,5 +330,16 @@ mod tests {
         let mut prof = RmsProfiler::with_activation_log();
         tr.replay(&mut prof);
         assert_eq!(prof.activations()[0].rms, 0);
+    }
+
+    #[test]
+    fn source_errors_abort_without_finalizing() {
+        let mut profiler = RmsProfiler::new();
+        let source = vec![
+            Ok((ThreadId::MAIN, Event::Read { addr: Addr::new(1) })),
+            Err("truncated"),
+        ];
+        assert_eq!(profiler.consume_stream(source), Err("truncated"));
+        assert!(!profiler.finished, "a partial profile is never finalized");
     }
 }

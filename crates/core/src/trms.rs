@@ -5,7 +5,7 @@ use crate::profile::{ActivationRecord, GlobalStats, ProfileReport, RoutineThread
 use crate::renumber::{self, RenumberScheme};
 use crate::InputPolicy;
 use aprof_shadow::ShadowMemory;
-use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, TimedEvent, Tool};
+use aprof_trace::{Addr, Event, RoutineId, RoutineTable, ThreadId, Tool};
 use std::collections::BTreeMap;
 
 /// Default counter limit: 32-bit timestamps, as stored by the paper's
@@ -255,9 +255,11 @@ impl TrmsProfiler {
         stats.bytes as u64
     }
 
-    /// Consumes a fallible event stream (e.g. a wire-trace decoder)
-    /// batch-by-batch via [`crate::consume_stream`], so traces far larger
-    /// than memory profile in bounded space. Returns the events consumed.
+    /// Consumes a fallible event stream (e.g. a wire-trace decoder) one
+    /// event at a time via [`aprof_trace::replay_events`], so traces far
+    /// larger than memory profile in bounded space. The callbacks are the
+    /// ones an in-memory replay delivers, so the profile is byte-identical.
+    /// Returns the events consumed.
     ///
     /// # Errors
     ///
@@ -267,7 +269,7 @@ impl TrmsProfiler {
     where
         I: IntoIterator<Item = Result<(ThreadId, Event), E>>,
     {
-        crate::stream::consume_stream(self, events)
+        aprof_trace::replay_events(self, events)
     }
 
     /// Finalizes the session (unwinding any still-pending activations) and
@@ -325,9 +327,9 @@ impl TrmsProfiler {
     }
 
     /// The thread-state half of procedure `read`: everything except the
-    /// `wts` lookup and the global induced counters, so the batched read
-    /// path can run it under a split borrow of `self`. Returns whether the
-    /// read was an induced (thread, external) first-access.
+    /// `wts` lookup and the global induced counters, so it runs under a
+    /// split borrow of `self`. Returns whether the read was an induced
+    /// (thread, external) first-access.
     fn apply_read(
         st: &mut ThreadState,
         count: u64,
@@ -505,53 +507,6 @@ impl Tool for TrmsProfiler {
     fn read(&mut self, thread: ThreadId, addr: Addr) {
         self.global.reads += 1;
         self.on_read(thread, addr);
-    }
-
-    /// Batched dispatch with a same-thread read-run fast path.
-    ///
-    /// Thread reads neither tick the global counter nor touch `wts`, so
-    /// within a run of consecutive `Read` events by one thread the counter,
-    /// policy and thread-state lookup are loop-invariant: the run is
-    /// processed with one `state()` resolution and one split borrow,
-    /// accumulating the global induced/read counters once per run. All
-    /// other events (and reads by a thread that just switched in) fall back
-    /// to one-at-a-time [`dispatch`](Tool::dispatch), so observable
-    /// behaviour is identical to sequential replay.
-    fn on_batch(&mut self, events: &[TimedEvent]) {
-        let mut i = 0;
-        while i < events.len() {
-            let te = &events[i];
-            if !matches!(te.event, Event::Read { .. }) {
-                self.dispatch(te.thread, te.event);
-                i += 1;
-                continue;
-            }
-            let thread = te.thread;
-            let mut j = i + 1;
-            while j < events.len()
-                && events[j].thread == thread
-                && matches!(events[j].event, Event::Read { .. })
-            {
-                j += 1;
-            }
-            self.global.reads += (j - i) as u64;
-            let count = self.count;
-            let policy = self.policy;
-            self.state(thread); // materialize the slot once for the run
-            let idx = thread.index();
-            let (mut induced_thread, mut induced_external) = (0u64, 0u64);
-            for te in &events[i..j] {
-                let Event::Read { addr } = te.event else { unreachable!() };
-                let packed = self.wts.get(addr);
-                let (it, ie) =
-                    Self::apply_read(&mut self.threads[idx], count, policy, packed, addr);
-                induced_thread += it as u64;
-                induced_external += ie as u64;
-            }
-            self.global.induced_thread += induced_thread;
-            self.global.induced_external += induced_external;
-            i = j;
-        }
     }
 
     fn write(&mut self, thread: ThreadId, addr: Addr) {
@@ -861,5 +816,39 @@ mod tests {
         assert_eq!(rms_full, rms_none);
         // And with all induced sources disabled, trms degenerates to rms.
         assert_eq!(none.routine(f).unwrap().trms_curve(), rms_none);
+    }
+
+    /// `consume_stream` over a fallible source yields the same reports as
+    /// an in-memory replay, for both profilers.
+    #[test]
+    fn streamed_profiles_match_in_memory_replay() {
+        let mut names = RoutineTable::new();
+        let f = names.intern("f");
+        let g = names.intern("g");
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let mut trace = Trace::new();
+        trace.push(t0, Event::Call { routine: f });
+        for i in 0..100 {
+            trace.push(t0, Event::Write { addr: Addr::new(i) });
+            trace.push(t1, Event::ThreadSwitch);
+            trace.push(t1, Event::Call { routine: g });
+            trace.push(t1, Event::Read { addr: Addr::new(i) });
+            trace.push(t1, Event::Return { routine: g });
+            trace.push(t0, Event::ThreadSwitch);
+        }
+        trace.push(t0, Event::Return { routine: f });
+        let source = || trace.events().iter().map(|te| Ok::<_, ()>((te.thread, te.event)));
+
+        let mut expected = TrmsProfiler::new();
+        trace.replay(&mut expected);
+        let mut streamed = TrmsProfiler::new();
+        assert_eq!(streamed.consume_stream(source()), Ok(trace.len() as u64));
+        assert_eq!(expected.into_report(&names), streamed.into_report(&names));
+
+        let mut expected = crate::RmsProfiler::new();
+        trace.replay(&mut expected);
+        let mut streamed = crate::RmsProfiler::new();
+        streamed.consume_stream(source()).unwrap();
+        assert_eq!(expected.into_report(&names), streamed.into_report(&names));
     }
 }

@@ -426,7 +426,7 @@ impl CaseSpec {
             max_blocks: CASE_MAX_BLOCKS,
             // The builder writes every register before its first read, so
             // generated programs must survive the strict mode — running
-            // strict lets oracle D observe any violation dynamically.
+            // strict lets oracle C observe any violation dynamically.
             strict_regs: true,
             ..MachineConfig::default()
         });

@@ -1,21 +1,20 @@
-//! The differential oracles: five independent ways of checking one case.
+//! The differential oracles: four independent ways of checking one case.
 //!
 //! Every generated program is executed **once** (recording both the event
 //! stream and its wire encoding from the same deterministic run) and the
-//! observation is then cross-checked five ways:
+//! observation is then cross-checked four ways:
 //!
 //! | oracle | under test            | reference                         |
 //! |--------|-----------------------|-----------------------------------|
 //! | A      | trms/rms profilers    | naive set-based re-execution      |
-//! | B      | batched replay        | sequential replay                 |
-//! | C      | wire round-trip       | directly captured event stream    |
-//! | D      | dynamic VM faults     | aprof-check static verdicts       |
-//! | E      | aprof-bound bounds    | growth fitted to the real profile |
+//! | B      | wire round-trip       | directly captured event stream    |
+//! | C      | dynamic VM faults     | aprof-check static verdicts       |
+//! | D      | aprof-bound bounds    | growth fitted to the real profile |
 //!
-//! [`run_case`] passes only when all five agree. [`run_case_mutated`]
+//! [`run_case`] passes only when all four agree. [`run_case_mutated`]
 //! additionally corrupts the stream *seen by the profiler under test* (never
 //! the one seen by the reference) — the mutation-testing hook that proves
-//! the harness actually detects planted profiler bugs. Oracle E always
+//! the harness actually detects planted profiler bugs. Oracle D always
 //! judges the *true* profile: a statically inferred bound must never sit
 //! strictly below the growth the execution actually exhibited.
 
@@ -24,8 +23,7 @@ use std::io::Cursor;
 use aprof_check::check_program;
 use aprof_core::{InputPolicy, NaiveProfiler, RmsProfiler, TrmsProfiler};
 use aprof_trace::{
-    replay_events, replay_events_batched, Event, EventKind, RecordingTool, RoutineId, ThreadId,
-    TimedEvent, Tool,
+    replay_events, Event, EventKind, RecordingTool, RoutineId, ThreadId, TimedEvent, Tool,
 };
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 
@@ -36,13 +34,11 @@ use crate::gen::CaseSpec;
 pub enum Oracle {
     /// A: trms/rms engine vs the naive set-based profiler.
     NaiveVsEngine,
-    /// B: batched replay vs sequential replay.
-    Batching,
-    /// C: wire round-trip vs direct capture.
+    /// B: wire round-trip vs direct capture.
     Wire,
-    /// D: aprof-check static verdicts vs dynamic VM behaviour.
+    /// C: aprof-check static verdicts vs dynamic VM behaviour.
     StaticVsDynamic,
-    /// E: aprof-bound static cost bounds vs dynamically fitted growth.
+    /// D: aprof-bound static cost bounds vs dynamically fitted growth.
     BoundVsFit,
 }
 
@@ -51,7 +47,6 @@ impl Oracle {
     pub fn name(self) -> &'static str {
         match self {
             Oracle::NaiveVsEngine => "naive-vs-engine",
-            Oracle::Batching => "batched-vs-sequential",
             Oracle::Wire => "wire-roundtrip",
             Oracle::StaticVsDynamic => "static-vs-dynamic",
             Oracle::BoundVsFit => "bound-vs-fit",
@@ -74,7 +69,7 @@ impl std::fmt::Display for OracleFailure {
     }
 }
 
-/// Per-case observation summary (all five oracles passed).
+/// Per-case observation summary (all four oracles passed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseReport {
     /// Events the run produced.
@@ -89,7 +84,7 @@ pub struct CaseReport {
 }
 
 /// A deliberately planted profiler bug: a corruption of the event stream
-/// delivered to the profiler under test (oracles A and B) while the naive
+/// delivered to the profiler under test (oracle A) while the naive
 /// reference sees the true stream. Used by mutation tests to prove the
 /// harness detects real bugs; [`run_case`] never applies one.
 ///
@@ -216,7 +211,7 @@ pub fn run_case_mutated(
     // --- One deterministic execution, recorded twice (events + wire). ---
     let program = spec.program();
 
-    // Oracle D, static half: generated programs are clean by construction,
+    // Oracle C, static half: generated programs are clean by construction,
     // so the verifier must admit them.
     let verdict = check_program(&program);
     if verdict.has_errors() {
@@ -236,7 +231,7 @@ pub fn run_case_mutated(
             detail: format!("writer create failed: {e}"),
         })?;
 
-    // Oracle D, dynamic half: the run is strict (use-before-def faults) and
+    // Oracle C, dynamic half: the run is strict (use-before-def faults) and
     // budgeted; any fault on a verifier-admitted program is a disagreement.
     if let Err(e) = machine.run_recording(&mut rec, &mut writer) {
         return Err(OracleFailure {
@@ -280,22 +275,7 @@ pub fn run_case_mutated(
         }
     }
 
-    // --- Oracle B: batched replay vs sequential replay. ---
-    // The chunk size is seed-derived so the corpus sweeps batch boundaries.
-    let chunk = 1 + (spec.seed % 61) as usize;
-    let mut batched = TrmsProfiler::builder().policy(InputPolicy::full()).log_activations(true).build();
-    let src = viewed.iter().map(|te| Ok::<_, std::convert::Infallible>((te.thread, te.event)));
-    if let Err(never) = replay_events_batched(&mut batched, src, chunk) {
-        match never {}
-    }
-    let batched: Vec<Activation> =
-        batched.activations().iter().map(|r| (r.thread, r.routine, r.trms, r.rms, r.cost)).collect();
-    if let Some(d) = diff_activations(&format!("batched(chunk={chunk}) vs sequential"), &batched, &engine)
-    {
-        return Err(OracleFailure { oracle: Oracle::Batching, detail: d });
-    }
-
-    // --- Oracle C: wire round-trip vs direct capture. ---
+    // --- Oracle B: wire round-trip vs direct capture. ---
     let reader = WireReader::new(Cursor::new(&bytes[..]))
         .map_err(|e| OracleFailure {
             oracle: Oracle::Wire,
@@ -339,7 +319,7 @@ pub fn run_case_mutated(
         });
     }
 
-    // --- Oracle E: static cost bounds vs the fitted dynamic growth. ---
+    // --- Oracle D: static cost bounds vs the fitted dynamic growth. ---
     // Judged on the *true* profile (mutations corrupt the stream under
     // test, not reality): the inferred bound of every routine must not sit
     // strictly below the growth model fitted to its (rms, cost) profile.
@@ -403,7 +383,7 @@ mod tests {
 
     #[test]
     fn bound_oracle_is_sound_across_profiles() {
-        // Oracle E runs inside run_case; a broad sweep over every generator
+        // Oracle D runs inside run_case; a broad sweep over every generator
         // profile is the soundness regression for the bound inference.
         for (i, cfg) in [
             GenConfig::mixed(),

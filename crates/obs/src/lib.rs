@@ -164,9 +164,11 @@ pub mod counters {
     /// Bytes held in profiler shadow memories at finish (gauge).
     pub static PROF_SHADOW_BYTES: Counter = Counter::new("prof.shadow_bytes");
 
-    /// Secondary tables allocated by the three-level shadow memory.
+    /// Page-directory growths of any `ShadowMemory` (tool shadows and
+    /// guest memory alike).
     pub static SHADOW_SECONDARY_ALLOCS: Counter = Counter::new("shadow.secondary_allocs");
-    /// Leaf chunks allocated by the three-level shadow memory.
+    /// 256-cell pages allocated by any `ShadowMemory`, guest memory
+    /// included.
     pub static SHADOW_CHUNK_ALLOCS: Counter = Counter::new("shadow.chunk_allocs");
 
     /// Chunks sealed and flushed by the wire writer.

@@ -75,17 +75,29 @@ fn parse_reply_line(line: &str) -> Result<Vec<&str>, ServeError> {
 }
 
 /// Recovers typed refusals from the daemon's `ERR <reason>` wire shapes so
-/// callers can tell retryable pressure (`busy retry-after <ms>`) from fatal
-/// refusals (everything else). Unrecognized reasons stay
-/// [`ServeError::Remote`].
+/// callers can tell retryable refusals from fatal ones. Retryable:
+/// pressure (`busy retry-after <ms>`), an open breaker
+/// (`quarantined retry-after <ms>: …`), a supervised worker panic, and the
+/// daemon's own I/O failures (spool or socket), which come back as
+/// [`ServeError::Io`]. Unrecognized reasons stay [`ServeError::Remote`].
 fn parse_err_reason(reason: &str) -> ServeError {
-    if let Some(rest) = reason.strip_prefix("busy retry-after ") {
-        if let Ok(ms) = rest.trim().parse::<u64>() {
-            return ServeError::Busy { retry_after: Duration::from_millis(ms) };
-        }
+    let hint = |rest: &str| -> Option<Duration> {
+        let ms = rest.split(|c: char| !c.is_ascii_digit()).next()?;
+        ms.parse().ok().map(Duration::from_millis)
+    };
+    if let Some(retry_after) = reason.strip_prefix("busy retry-after ").and_then(hint) {
+        return ServeError::Busy { retry_after };
     }
-    if reason.starts_with("quarantined") {
-        return ServeError::Quarantined;
+    if let Some(retry_after) = reason.strip_prefix("quarantined retry-after ").and_then(hint) {
+        return ServeError::Quarantined { retry_after };
+    }
+    if reason == ServeError::WorkerPanicked.to_string() {
+        return ServeError::WorkerPanicked;
+    }
+    for prefix in ["i/o error: ", "wire error: wire i/o error: "] {
+        if let Some(msg) = reason.strip_prefix(prefix) {
+            return ServeError::Io(io::Error::other(msg.to_owned()));
+        }
     }
     ServeError::Remote(reason.to_owned())
 }
@@ -151,15 +163,17 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Submits with retries: `ERR busy retry-after <ms>` refusals and transport
-/// I/O errors are retried (re-submission is idempotent — a stream that
-/// actually committed resolves as a duplicate ack); every other refusal is
-/// fatal immediately. `open` re-opens the trace bytes for each attempt.
+/// Submits with retries: busy and quarantined refusals, supervised worker
+/// panics, and transport or daemon-side I/O errors are retried
+/// (re-submission is idempotent — a stream that actually committed
+/// resolves as a duplicate ack); every other refusal is fatal immediately.
+/// A refusal's `retry-after` hint is a floor on the wait before the next
+/// attempt. `open` re-opens the trace bytes for each attempt.
 ///
 /// # Errors
 ///
-/// The last [`ServeError::Busy`]/[`ServeError::Io`] once attempts are
-/// exhausted, or the first fatal error.
+/// The last retryable error once attempts are exhausted, or the first
+/// fatal error.
 pub fn submit_retrying<R, F>(
     target: &Target,
     tenant: &str,
@@ -177,10 +191,17 @@ where
         let mut trace = open()?;
         match submit(target, tenant, stream, &mut trace) {
             Ok(ack) => return Ok(ack),
-            Err(e @ (ServeError::Busy { .. } | ServeError::Io(_))) => {
+            Err(
+                e @ (ServeError::Busy { .. }
+                | ServeError::Quarantined { .. }
+                | ServeError::WorkerPanicked
+                | ServeError::Io(_)),
+            ) => {
                 let jitter = jittered_backoff(policy.base, policy.cap, policy.seed, attempt);
                 let wait = match &e {
-                    ServeError::Busy { retry_after } => jitter.max(*retry_after),
+                    ServeError::Busy { retry_after } | ServeError::Quarantined { retry_after } => {
+                        jitter.max(*retry_after)
+                    }
                     _ => jitter,
                 };
                 last = Some(e);
@@ -307,10 +328,25 @@ mod tests {
             ServeError::Busy { retry_after } if retry_after == Duration::from_millis(250)
         ));
         assert!(matches!(
-            parse_err_reason("quarantined: tenant disabled after repeated failures"),
-            ServeError::Quarantined
+            parse_err_reason("quarantined retry-after 1500: tenant disabled after repeated failures"),
+            ServeError::Quarantined { retry_after } if retry_after == Duration::from_millis(1500)
         ));
         assert!(matches!(parse_err_reason("busy retry-after soon"), ServeError::Remote(_)));
         assert!(matches!(parse_err_reason("wire error: bad crc"), ServeError::Remote(_)));
+        assert!(matches!(parse_err_reason("quota exceeded: events"), ServeError::Remote(_)));
+        assert!(matches!(parse_err_reason("i/o error: disk full"), ServeError::Io(_)));
+        assert!(matches!(
+            parse_err_reason("wire error: wire i/o error: timed out"),
+            ServeError::Io(_)
+        ));
+        // The daemon writes `ERR ` + Display; every retryable shape parses
+        // back to its own variant.
+        for e in [
+            ServeError::Busy { retry_after: Duration::from_millis(7) },
+            ServeError::Quarantined { retry_after: Duration::from_millis(9) },
+            ServeError::WorkerPanicked,
+        ] {
+            assert_eq!(parse_err_reason(&e.to_string()).to_string(), e.to_string());
+        }
     }
 }

@@ -190,15 +190,23 @@ pub enum ServeError {
     /// A per-tenant quota refused the submission.
     Quota(String),
     /// The submission was shed or timed out of the admission queue; the
-    /// daemon suggests retrying after the hinted delay. This is the only
-    /// *retryable* refusal — idempotent re-submission is safe.
+    /// daemon suggests retrying after the hinted delay. Retryable —
+    /// idempotent re-submission is safe.
     Busy {
         /// Suggested client-side wait before retrying.
         retry_after: Duration,
     },
     /// The tenant's circuit breaker is open (repeated recent failures);
     /// submissions are refused until a half-open probe succeeds.
-    Quarantined,
+    /// Retryable once the hinted delay has passed.
+    Quarantined {
+        /// Time until the breaker admits its next half-open probe.
+        retry_after: Duration,
+    },
+    /// The connection worker panicked mid-submission; the daemon caught
+    /// it, discarded the stream and keeps serving. Retryable — the panic
+    /// counts against the tenant's breaker, which bounds the retries.
+    WorkerPanicked,
     /// The stream blew its overall ingest deadline (slow-loris eviction).
     Deadline,
     /// The daemon is draining and no longer accepts submissions.
@@ -219,8 +227,13 @@ impl fmt::Display for ServeError {
             ServeError::Busy { retry_after } => {
                 write!(f, "busy retry-after {}", retry_after.as_millis())
             }
-            ServeError::Quarantined => {
-                write!(f, "quarantined: tenant disabled after repeated failures")
+            ServeError::Quarantined { retry_after } => write!(
+                f,
+                "quarantined retry-after {}: tenant disabled after repeated failures",
+                retry_after.as_millis()
+            ),
+            ServeError::WorkerPanicked => {
+                write!(f, "internal: worker panicked (supervised); stream discarded")
             }
             ServeError::Deadline => write!(f, "stream deadline exceeded: slow client evicted"),
             ServeError::Draining => write!(f, "daemon is draining"),

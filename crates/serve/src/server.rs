@@ -517,7 +517,7 @@ fn handle_submit(shared: &Shared, mut conn: Conn, tenant: &str, stream: &str, or
             counters::SERVE_STREAMS_ABORTED.incr();
             shared.spool.discard_part(tenant, stream);
             shared.breakers.settle(tenant, Outcome::Failure);
-            let _ = writeln!(conn, "ERR internal: worker panicked (supervised); stream discarded");
+            let _ = writeln!(conn, "ERR {}", ServeError::WorkerPanicked);
         }
     }
 }

@@ -96,24 +96,27 @@ impl BreakerBank {
     }
 
     /// Gate for one submission. `Ok(())` admits (possibly as the half-open
-    /// probe); `Err(Quarantined)` refuses. Every admitted submission MUST
-    /// later be settled via [`BreakerBank::settle`], or a half-open probe
-    /// would wedge its tenant.
+    /// probe); `Err(Quarantined)` refuses, hinting when to retry: the rest
+    /// of the cooldown, or a full cooldown while a probe is in flight
+    /// (should it fail, the breaker re-opens for that long). Every
+    /// admitted submission MUST later be settled via
+    /// [`BreakerBank::settle`], or a half-open probe would wedge its
+    /// tenant.
     pub(crate) fn admit(&self, tenant: &str) -> Result<(), ServeError> {
         let mut inner = self.lock();
         let b = inner.entry(tenant.to_owned()).or_default();
-        match b.state {
-            State::Closed => Ok(()),
+        let retry_after = match b.state {
+            State::Closed => return Ok(()),
             State::Open { since } if since.elapsed() >= self.cfg.cooldown => {
                 b.state = State::HalfOpen;
                 counters::SERVE_BREAKER_PROBES.incr();
-                Ok(())
+                return Ok(());
             }
-            State::Open { .. } | State::HalfOpen => {
-                counters::SERVE_BREAKER_REJECTIONS.incr();
-                Err(ServeError::Quarantined)
-            }
-        }
+            State::Open { since } => self.cfg.cooldown.saturating_sub(since.elapsed()),
+            State::HalfOpen => self.cfg.cooldown,
+        };
+        counters::SERVE_BREAKER_REJECTIONS.incr();
+        Err(ServeError::Quarantined { retry_after })
     }
 
     /// Settles an admitted submission. Success closes a half-open breaker
@@ -203,7 +206,10 @@ mod tests {
             bank.admit("t").unwrap();
             bank.settle("t", Outcome::Failure);
         }
-        assert!(matches!(bank.admit("t"), Err(ServeError::Quarantined)));
+        assert!(matches!(
+            bank.admit("t"),
+            Err(ServeError::Quarantined { retry_after }) if retry_after <= cfg().cooldown
+        ));
         // Other tenants are unaffected.
         bank.admit("other").unwrap();
     }

@@ -388,7 +388,7 @@ fn worker_panics_are_supervised_and_feed_the_breaker() {
     // Third submission is refused by the tripped breaker *before* any
     // worker runs — the typed Quarantined refusal round-trips the wire.
     let err = client::submit(&target, "web", "s-3", &mut &trace[..]).unwrap_err();
-    assert!(matches!(err, ServeError::Quarantined), "expected quarantine, got: {err}");
+    assert!(matches!(err, ServeError::Quarantined { .. }), "expected quarantine, got: {err}");
 
     // Nothing was ever committed or spooled.
     assert!(!cfg.spool.join("web").join("s-1.wire").exists());
@@ -417,7 +417,7 @@ fn breaker_recovers_through_a_half_open_probe() {
         assert!(client::submit(&target, "web", stream, &mut &bad[..]).is_err());
     }
     let err = client::submit(&target, "web", "b-3", &mut &bad[..]).unwrap_err();
-    assert!(matches!(err, ServeError::Quarantined), "expected quarantine, got: {err}");
+    assert!(matches!(err, ServeError::Quarantined { .. }), "expected quarantine, got: {err}");
     // Other tenants are unaffected by web's quarantine.
     let good = record_workload("algo.merge_sort", 20);
     client::submit(&target, "other", "ok-1", &mut &good[..]).unwrap();

@@ -14,7 +14,7 @@
 use aprof_core::{ProfileReport, TrmsProfiler};
 use aprof_corpus::{CaseSpec, GenConfig};
 use aprof_faults::FaultConfig;
-use aprof_serve::{client, ServeConfig, Server, Target};
+use aprof_serve::{client, RetryPolicy, ServeConfig, Server, Target};
 use aprof_trace::NullTool;
 use aprof_wire::{WireOptions, WireReader, WireWriter};
 use std::io::Write;
@@ -59,17 +59,22 @@ fn replay(bytes: &[u8]) -> ProfileReport {
 
 /// Submits with retries: the daemon's fault plan panics/delays workers and
 /// corrupts spool writes, and every such failure surfaces to the client as
-/// an error or dropped connection — so a real client would retry, and so
-/// does this one. A `duplicate` ack means a previous attempt committed
-/// right before its connection died; that still counts as acked.
+/// a retryable error or dropped connection — so a real client would retry,
+/// and so does this one, through the client library's own retry loop. Its
+/// waits honour the `retry-after` of a quarantine: injected panics count
+/// against the tenant's breaker like genuine ones, so a tenant can trip it
+/// mid-soak. A `duplicate` ack means a previous attempt committed right
+/// before its connection died; that still counts as acked.
 fn submit_with_retries(target: &Target, tenant: &str, stream: &str, trace: &[u8]) {
-    for _ in 0..60 {
-        match client::submit(target, tenant, stream, &mut &trace[..]) {
-            Ok(_ack) => return,
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+    let policy = RetryPolicy {
+        attempts: 60,
+        base: Duration::from_millis(5),
+        cap: Duration::from_millis(5),
+        seed: stream.bytes().fold(0, |h, b| h.wrapping_mul(31) ^ u64::from(b)),
+    };
+    if let Err(e) = client::submit_retrying(target, tenant, stream, &policy, || Ok(trace)) {
+        panic!("stream {tenant}/{stream} never got acknowledged in 60 attempts: {e}");
     }
-    panic!("stream {tenant}/{stream} never got acknowledged in 60 attempts");
 }
 
 /// Queries retry too: the fault plan panics workers on *any* connection,

@@ -53,4 +53,4 @@ pub use event::{Event, EventKind, TimedEvent};
 pub use ids::{Addr, RoutineId, ThreadId, Timestamp};
 pub use table::RoutineTable;
 pub use tool::{NullTool, RecordingTool, Tool};
-pub use trace::{replay_events, replay_events_batched, ThreadTrace, Trace, TraceStats};
+pub use trace::{replay_events, ThreadTrace, Trace, TraceStats};

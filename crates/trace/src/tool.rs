@@ -134,26 +134,6 @@ pub trait Tool {
     /// Execution finished; flush any pending state.
     fn finish(&mut self) {}
 
-    /// Dispatches a contiguous batch of events.
-    ///
-    /// Called by [`Trace::replay_batched`](crate::Trace::replay_batched)
-    /// with fixed-size chunks of the event stream. The default delivers the
-    /// batch event-by-event through [`dispatch`](Tool::dispatch), so
-    /// existing tools observe exactly the sequential callback protocol.
-    /// Tools may override this to exploit batch-local structure (e.g. runs
-    /// of reads issued by one thread), provided the observable result is
-    /// identical to sequential dispatch.
-    ///
-    /// Batches satisfy one structural guarantee: a
-    /// [`ThreadSwitch`](crate::Event::ThreadSwitch) event is never the last
-    /// event of a non-final batch, so an override always sees a switch
-    /// together with at least one operation of the thread switched to.
-    fn on_batch(&mut self, events: &[TimedEvent]) {
-        for te in events {
-            self.dispatch(te.thread, te.event);
-        }
-    }
-
     /// Dispatches one event to the matching callback.
     ///
     /// This is the glue used by [`Trace::replay`](crate::Trace::replay);

@@ -1,13 +1,14 @@
 //! Sparse guest memory with a bump allocator.
 
+use aprof_shadow::ShadowMemory;
 use aprof_trace::Addr;
-use std::collections::HashMap;
-
-const PAGE_BITS: u32 = 12;
-const PAGE_CELLS: usize = 1 << PAGE_BITS;
 
 /// Word-granular guest memory: a sparse map from 64-bit cell addresses to
-/// `i64` values, paged in 4096-cell pages. Never-written cells read as 0.
+/// `i64` values. Never-written cells read as 0.
+///
+/// The cells live in the same arena-paged [`ShadowMemory`] the analysis
+/// tools use for their shadow state, so guest data and tool state are paged
+/// and accounted identically (256-cell pages, capacity-charged bytes).
 ///
 /// Allocation is a monotone bump pointer starting above a reserved low
 /// region, so every `alloc` returns fresh, never-aliased addresses — which
@@ -26,7 +27,7 @@ const PAGE_CELLS: usize = 1 << PAGE_BITS;
 /// ```
 #[derive(Debug, Default)]
 pub struct GuestMemory {
-    pages: HashMap<u64, Box<[i64; PAGE_CELLS]>>,
+    cells: ShadowMemory<i64>,
     brk: u64,
 }
 
@@ -37,21 +38,19 @@ const HEAP_BASE: u64 = 0x1_0000;
 impl GuestMemory {
     /// Creates an empty memory.
     pub fn new() -> Self {
-        GuestMemory { pages: HashMap::new(), brk: HEAP_BASE }
+        GuestMemory { cells: ShadowMemory::new(), brk: HEAP_BASE }
     }
 
     /// Reads one cell (0 if never written).
+    #[inline]
     pub fn read(&self, addr: Addr) -> i64 {
-        let page = addr.raw() >> PAGE_BITS;
-        let cell = (addr.raw() & (PAGE_CELLS as u64 - 1)) as usize;
-        self.pages.get(&page).map(|p| p[cell]).unwrap_or(0)
+        self.cells.get(addr)
     }
 
     /// Writes one cell.
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: i64) {
-        let page = addr.raw() >> PAGE_BITS;
-        let cell = (addr.raw() & (PAGE_CELLS as u64 - 1)) as usize;
-        self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_CELLS]))[cell] = value;
+        self.cells.set(addr, value);
     }
 
     /// Allocates `cells` fresh cells and returns the base address.
@@ -61,14 +60,10 @@ impl GuestMemory {
         Addr::new(base)
     }
 
-    /// Number of resident pages (for space-overhead accounting).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Approximate resident bytes of guest data.
+    /// Resident bytes of guest data: the page store's
+    /// [`ShadowStats::bytes`](aprof_shadow::ShadowStats::bytes).
     pub fn resident_bytes(&self) -> usize {
-        self.pages.len() * PAGE_CELLS * std::mem::size_of::<i64>()
+        self.cells.stats().bytes
     }
 }
 
@@ -80,7 +75,7 @@ mod tests {
     fn read_default_is_zero() {
         let m = GuestMemory::new();
         assert_eq!(m.read(Addr::new(12345)), 0);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.resident_bytes(), 0);
     }
 
     #[test]

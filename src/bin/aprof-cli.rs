@@ -142,9 +142,9 @@ commands:
                                bound` lines suit golden-file diffs
   fuzz [opts]                  generate a seeded corpus of guest programs
                                and run every one through the differential
-                               oracles (naive-vs-engine, batched replay,
-                               wire round-trip, static-vs-dynamic,
-                               bound-vs-fit); failures are shrunk to a
+                               oracles (naive-vs-engine, wire round-trip,
+                               static-vs-dynamic, bound-vs-fit);
+                               failures are shrunk to a
                                minimal program
   serve --spool DIR [opts]     run the multi-tenant profiling service
                                daemon: concurrent wire-trace submissions
@@ -264,15 +264,16 @@ submit options:
   --out FILE        write fetched bodies to FILE instead of stdout
   --shutdown        ask the daemon to drain and stop
   --shutdown-now    ask the daemon to stop immediately
-  --retries N       retry busy refusals and transport drops up to N extra
-                    times with jittered backoff, honouring the daemon's
-                    retry-after hint (idempotent: a stream that committed
-                    before its ack was lost resolves as a duplicate)
-                                                        (default 0)
+  --retries N       retry busy and quarantined refusals, supervised
+                    worker panics and transport or daemon i/o failures up
+                    to N extra times with jittered backoff, honouring the
+                    daemon's retry-after hint (idempotent: a stream that
+                    committed before its ack was lost resolves as a
+                    duplicate)                          (default 0)
   --retry-base-ms N base backoff window between retries (default 50)
-  submit exit codes: 0 success; 1 fatal (bad trace, quota, quarantined,
-  daemon unreachable); 2 usage; 75 still busy after the retry budget
-  (EX_TEMPFAIL — reschedule and resubmit)
+  submit exit codes: 0 success; 1 fatal (bad trace, quota, daemon
+  unreachable); 2 usage; 75 still busy or quarantined after the retry
+  budget (EX_TEMPFAIL — reschedule and resubmit)
 ";
 
 struct Opts {
@@ -1648,11 +1649,11 @@ fn cmd_submit(args: &[String]) -> i32 {
                     ack.events, ack.chunks
                 );
             }
-            // Transient backpressure that outlived the retry budget: a
-            // deliberate exit code (EX_TEMPFAIL) so wrappers can reschedule
-            // instead of treating it as data loss.
-            Err(e @ ServeError::Busy { .. }) => {
-                eprintln!("{tenant}/{stream_id}: {e} (daemon is shedding load; try --retries)");
+            // Transient backpressure or quarantine that outlived the retry
+            // budget: a deliberate exit code (EX_TEMPFAIL) so wrappers can
+            // reschedule instead of treating it as data loss.
+            Err(e @ (ServeError::Busy { .. } | ServeError::Quarantined { .. })) => {
+                eprintln!("{tenant}/{stream_id}: {e} (daemon refused for now; try --retries)");
                 return 75;
             }
             Err(e) => {
